@@ -119,9 +119,24 @@ CDB_STAT_QUICK=1 CDB_SERVER_QUICK=1 cargo test -q --workspace
 stage_end
 
 stage_begin stratified
-echo "==> stratified selection property suites (alias table + cache/selector invariance)"
+echo "==> stratified selection property suites (alias table + cache/selector invariance + pinned draws)"
 cargo test -q -p cdb-sampler --test stratified_alias
 cargo test -q -p cdb-sampler --test projection_cache
+cargo test -q -p cdb-sampler --test selector_pin
+stage_end
+
+stage_begin exact
+echo "==> planar hull vs subset enumeration + inline/big Rational agreement suites"
+cargo test -q -p cdb-geometry --test prop
+cargo test -q -p cdb-num --test forms
+stage_end
+
+stage_begin perfbench
+echo "==> repository benchmark: build against the public APIs + its own tests"
+# perfbench is a workspace of its own that builds the repository's crates
+# by path, so this catches API changes that would break the benchmark
+# before the benchmark runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 stage_end
 
 stage_begin prepared

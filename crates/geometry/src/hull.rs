@@ -7,59 +7,78 @@
 //!
 //! As the paper notes, convex hull computation is exponential in the
 //! dimension; these routines are meant for the *result* dimension `e` of a
-//! projection query, which is small. Two algorithms are provided: Andrew's
-//! monotone chain for the plane, and supporting-hyperplane enumeration over
-//! point subsets for small general dimensions.
+//! projection query, which is small. Two algorithms are provided:
+//!
+//! * the plane (`d = 2`, the common case of a 2-D projection query) uses
+//!   Andrew's monotone chain, `O(n log n)`: [`hull_2d`], and
+//!   [`hull_to_hpolytope`] emits one unit-normal halfspace per
+//!   counter-clockwise edge;
+//! * `d ≥ 3` uses supporting-hyperplane enumeration over point subsets
+//!   ([`facets_of_points`]), which tests every `d`-subset against all `n`
+//!   points and so costs `O(n^{d+1})`.
 
 use cdb_linalg::{Matrix, Vector};
 
 use crate::{HPolytope, Halfspace};
 
-/// Tolerance for hull predicates, relative to the point cloud's scale.
-const HULL_EPS: f64 = 1e-7;
+/// Tolerance for hull predicates, relative to the point cloud's scale (its
+/// largest coordinate magnitude, at least 1).
+pub const HULL_EPS: f64 = 1e-7;
 
-/// Convex hull of a set of points in the plane, returned in counter-clockwise
-/// order without repetition (Andrew's monotone chain). Collinear input
-/// degenerates to the two extreme points; fewer than three distinct points
-/// are returned as-is.
-pub fn hull_2d(points: &[Vector]) -> Vec<Vector> {
+/// Andrew's monotone chain over planar points: the hull vertices in
+/// counter-clockwise order, starting from the lexicographically smallest
+/// point, with collinear boundary points dropped. `None` when a coordinate
+/// is NaN or infinite.
+fn monotone_chain(points: &[Vector]) -> Option<Vec<(f64, f64)>> {
     assert!(
         points.iter().all(|p| p.dim() == 2),
         "hull_2d expects planar points"
     );
     let mut pts: Vec<(f64, f64)> = points.iter().map(|p| (p[0], p[1])).collect();
-    pts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    if pts.iter().any(|p| !p.0.is_finite() || !p.1.is_finite()) {
+        return None;
+    }
+    pts.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     pts.dedup_by(|a, b| (a.0 - b.0).abs() < 1e-12 && (a.1 - b.1).abs() < 1e-12);
     if pts.len() < 3 {
-        return pts
-            .into_iter()
-            .map(|(x, y)| Vector::from(vec![x, y]))
-            .collect();
+        return Some(pts);
     }
     let cross = |o: (f64, f64), a: (f64, f64), b: (f64, f64)| {
         (a.0 - o.0) * (b.1 - o.1) - (a.1 - o.1) * (b.0 - o.0)
     };
-    let mut lower: Vec<(f64, f64)> = Vec::new();
+    // Lower chain left to right, then the upper chain right to left in the
+    // same buffer; the upper pass never pops below the finished lower chain.
+    let mut hull: Vec<(f64, f64)> = Vec::with_capacity(pts.len() + 1);
     for &p in &pts {
-        while lower.len() >= 2 && cross(lower[lower.len() - 2], lower[lower.len() - 1], p) <= 0.0 {
-            lower.pop();
+        while hull.len() >= 2 && cross(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0.0 {
+            hull.pop();
         }
-        lower.push(p);
+        hull.push(p);
     }
-    let mut upper: Vec<(f64, f64)> = Vec::new();
-    for &p in pts.iter().rev() {
-        while upper.len() >= 2 && cross(upper[upper.len() - 2], upper[upper.len() - 1], p) <= 0.0 {
-            upper.pop();
+    let lower_len = hull.len() + 1;
+    for &p in pts.iter().rev().skip(1) {
+        while hull.len() >= lower_len && cross(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0.0
+        {
+            hull.pop();
         }
-        upper.push(p);
+        hull.push(p);
     }
-    lower.pop();
-    upper.pop();
-    lower.extend(upper);
-    lower
-        .into_iter()
-        .map(|(x, y)| Vector::from(vec![x, y]))
-        .collect()
+    // The upper chain ends where the lower one starts.
+    hull.pop();
+    Some(hull)
+}
+
+/// Convex hull of a set of points in the plane, returned in counter-clockwise
+/// order without repetition (Andrew's monotone chain). Collinear input
+/// degenerates to the two extreme points; fewer than three distinct points
+/// are returned as-is. Returns `None` when a coordinate is NaN or infinite.
+pub fn hull_2d(points: &[Vector]) -> Option<Vec<Vector>> {
+    Some(
+        monotone_chain(points)?
+            .into_iter()
+            .map(|(x, y)| Vector::from(vec![x, y]))
+            .collect(),
+    )
 }
 
 /// Area of a simple polygon given by its vertices in order (shoelace formula).
@@ -116,8 +135,9 @@ fn generalized_cross(rows: &[Vector]) -> Vector {
 
 /// Enumerates the supporting hyperplanes (facets) of the convex hull of a
 /// point cloud in small dimension `d ≥ 2` by testing every `d`-subset of
-/// points. Exponential in `d`; intended for the low result dimensions of
-/// reconstruction queries.
+/// points: `O(n^{d+1})`. The reconstruction path uses it for `d ≥ 3` only
+/// ([`hull_to_hpolytope`] takes the monotone chain in the plane); it stays
+/// valid in the plane as a reference.
 pub fn facets_of_points(points: &[Vector]) -> Vec<Facet> {
     if points.is_empty() {
         return Vec::new();
@@ -127,7 +147,7 @@ pub fn facets_of_points(points: &[Vector]) -> Vec<Facet> {
     if n < d {
         return Vec::new();
     }
-    let scale = points.iter().map(|p| p.norm_inf()).fold(1.0f64, f64::max);
+    let scale = point_scale(points);
     let tol = HULL_EPS * scale;
 
     let mut facets: Vec<Facet> = Vec::new();
@@ -197,9 +217,77 @@ pub fn facets_of_points(points: &[Vector]) -> Vec<Facet> {
     }
 }
 
+/// H-representation of the convex hull of a planar point cloud: one
+/// unit-normal halfspace per counter-clockwise edge of the monotone chain.
+/// Edges shorter than `HULL_EPS·scale` are dropped: a tiny edge's normal is
+/// mostly rounding noise and could cut off an input point, while dropping a
+/// constraint only widens the polygon by a corner of that size.
+///
+/// Returns `None` when the hull is no wider than `HULL_EPS·scale` (the
+/// cloud is collinear up to rounding, as [`facets_of_points`] would judge
+/// it) or when dropped edges leave it unbounded.
+fn planar_hull(points: &[Vector]) -> Option<HPolytope> {
+    let chain = monotone_chain(points)?;
+    if chain.len() < 3 {
+        return None;
+    }
+    let tol = HULL_EPS * point_scale(points);
+    let halfspaces: Vec<Halfspace> = chain
+        .iter()
+        .zip(chain.iter().cycle().skip(1))
+        .filter_map(|(&(ax, ay), &(bx, by))| {
+            let (dx, dy) = (bx - ax, by - ay);
+            let len = dx.hypot(dy);
+            if len <= tol {
+                return None;
+            }
+            // Counter-clockwise order: the interior lies to the left, so the
+            // outward normal is the edge direction turned clockwise.
+            let normal = Vector::from(vec![dy / len, -dx / len]);
+            Some(Halfspace::new(normal, (dy * ax - dx * ay) / len))
+        })
+        .collect();
+    if halfspaces.len() < 3 {
+        return None;
+    }
+    // The width of a convex polygon is attained across one of its edges.
+    let depth = |h: &Halfspace| {
+        chain
+            .iter()
+            .map(|&(x, y)| h.offset() - h.normal()[0] * x - h.normal()[1] * y)
+            .fold(0.0f64, f64::max)
+    };
+    if halfspaces.iter().map(depth).fold(f64::INFINITY, f64::min) <= tol {
+        return None;
+    }
+    // Bounded iff consecutive outward normals turn counter-clockwise by
+    // less than a half turn all the way round.
+    let turns_left = |a: &Halfspace, b: &Halfspace| {
+        a.normal()[0] * b.normal()[1] - a.normal()[1] * b.normal()[0] > 0.0
+    };
+    if !halfspaces
+        .iter()
+        .zip(halfspaces.iter().cycle().skip(1))
+        .all(|(a, b)| turns_left(a, b))
+    {
+        return None;
+    }
+    Some(HPolytope::new(2, halfspaces))
+}
+
+/// The scale of a point cloud for relative hull tolerances: its largest
+/// coordinate magnitude, at least 1.
+fn point_scale(points: &[Vector]) -> f64 {
+    points.iter().map(|p| p.norm_inf()).fold(1.0f64, f64::max)
+}
+
 /// H-representation of the convex hull of a point cloud (small dimensions).
 /// Returns `None` when the cloud is affinely degenerate (its hull has no
-/// interior) or too small.
+/// interior), too small, or holds a NaN or infinite coordinate.
+///
+/// Dimension 1 takes the extreme values, dimension 2 the monotone chain
+/// (`O(n log n)`), and higher dimensions [`facets_of_points`]
+/// (`O(n^{d+1})`).
 pub fn hull_to_hpolytope(points: &[Vector]) -> Option<HPolytope> {
     if points.is_empty() {
         return None;
@@ -215,6 +303,9 @@ pub fn hull_to_hpolytope(points: &[Vector]) -> Option<HPolytope> {
             return None;
         }
         return Some(HPolytope::axis_box(&[lo], &[hi]));
+    }
+    if d == 2 {
+        return planar_hull(points);
     }
     let facets = facets_of_points(points);
     if facets.len() < d + 1 {
@@ -277,7 +368,7 @@ pub fn convex_hull_volume(points: &[Vector]) -> f64 {
                 .fold(f64::NEG_INFINITY, f64::max);
             (hi - lo).max(0.0)
         }
-        2 => polygon_area(&hull_2d(points)),
+        2 => hull_2d(points).map_or(f64::NAN, |hull| polygon_area(&hull)),
         _ => {
             if points.len() < d + 1 {
                 return 0.0;
@@ -330,17 +421,95 @@ mod tests {
             v2(0.5, 0.5),
             v2(0.25, 0.75),
         ];
-        let hull = hull_2d(&pts);
+        let hull = hull_2d(&pts).unwrap();
         assert_eq!(hull.len(), 4);
         assert!((polygon_area(&hull) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn hull_2d_collinear_points() {
-        let pts = vec![v2(0.0, 0.0), v2(1.0, 1.0), v2(2.0, 2.0)];
-        let hull = hull_2d(&pts);
-        assert!(hull.len() <= 2);
+        let pts = vec![v2(0.0, 0.0), v2(1.0, 1.0), v2(2.0, 2.0), v2(0.5, 0.5)];
+        let hull = hull_2d(&pts).unwrap();
+        assert_eq!(hull, vec![v2(0.0, 0.0), v2(2.0, 2.0)]);
         assert_eq!(polygon_area(&hull), 0.0);
+        assert!(hull_to_hpolytope(&pts).is_none());
+    }
+
+    #[test]
+    fn hull_2d_rejects_non_finite_points() {
+        let mut pts = vec![v2(0.0, 0.0), v2(1.0, 0.0), v2(0.0, 1.0)];
+        pts.push(v2(f64::NAN, 0.5));
+        assert!(hull_2d(&pts).is_none());
+        assert!(hull_to_hpolytope(&pts).is_none());
+        assert!(convex_hull_volume(&pts).is_nan());
+        pts[3] = v2(0.5, f64::INFINITY);
+        assert!(hull_2d(&pts).is_none());
+        assert!(hull_to_hpolytope(&pts).is_none());
+    }
+
+    #[test]
+    fn hull_2d_merges_duplicate_points() {
+        let pts = vec![
+            v2(0.0, 0.0),
+            v2(1.0, 0.0),
+            v2(0.0, 0.0),
+            v2(1.0, 1.0),
+            v2(1.0, 1.0),
+            v2(1.0, 0.0),
+        ];
+        let hull = hull_2d(&pts).unwrap();
+        assert_eq!(hull, vec![v2(0.0, 0.0), v2(1.0, 0.0), v2(1.0, 1.0)]);
+        let poly = hull_to_hpolytope(&pts).unwrap();
+        assert_eq!(poly.halfspaces().len(), 3);
+        // Copies of one point have no interior.
+        assert!(hull_to_hpolytope(&[v2(3.0, 4.0), v2(3.0, 4.0), v2(3.0, 4.0)]).is_none());
+    }
+
+    #[test]
+    fn hull_2d_of_two_points_is_the_pair() {
+        let pts = vec![v2(2.0, 1.0), v2(-1.0, 0.5)];
+        assert_eq!(hull_2d(&pts).unwrap(), vec![v2(-1.0, 0.5), v2(2.0, 1.0)]);
+        assert!(hull_to_hpolytope(&pts).is_none());
+        assert_eq!(hull_2d(&[]).unwrap(), Vec::<Vector>::new());
+    }
+
+    #[test]
+    fn planar_halfspaces_have_unit_normals_and_contain_every_point() {
+        let pts = vec![
+            v2(0.0, 0.0),
+            v2(3.0, 0.5),
+            v2(2.0, 2.0),
+            v2(-1.0, 1.5),
+            v2(1.0, 1.0),
+            v2(0.5, 0.2),
+        ];
+        let poly = hull_to_hpolytope(&pts).unwrap();
+        assert_eq!(poly.halfspaces().len(), 4);
+        for h in poly.halfspaces() {
+            assert!((h.normal().norm() - 1.0).abs() < 1e-12);
+            for p in &pts {
+                assert!(h.normal().dot(p) - h.offset() <= HULL_EPS * 3.0);
+            }
+        }
+    }
+
+    #[test]
+    fn planar_hull_drops_edges_below_tolerance() {
+        // Two vertices 1e-9 apart: the edge between them is shorter than
+        // HULL_EPS, so it contributes no halfspace, and the remaining edges
+        // still contain every point.
+        let pts = vec![
+            v2(0.0, 0.0),
+            v2(1.0, 0.0),
+            v2(1.0 + 1e-9, 1e-9),
+            v2(0.0, 1.0),
+        ];
+        assert_eq!(hull_2d(&pts).unwrap().len(), 4);
+        let poly = hull_to_hpolytope(&pts).unwrap();
+        assert_eq!(poly.halfspaces().len(), 3);
+        for p in &pts {
+            assert!(poly.contains(p, HULL_EPS));
+        }
     }
 
     #[test]

@@ -10,7 +10,15 @@
 //!
 //! * [`BigInt`] — a sign–magnitude arbitrary-precision integer over `u64`
 //!   limbs, and
-//! * [`Rational`] — an always-normalized quotient of two [`BigInt`]s.
+//! * [`Rational`] — an always-normalized quotient of two integers.
+//!
+//! A [`Rational`] has two forms. Most coefficients the workspace meets fit
+//! the inline form: an `i64` numerator and a `u64` denominator held in the
+//! value itself, with arithmetic in 128-bit machine integers and no heap
+//! allocation. A value whose reduced numerator or denominator needs more
+//! than 64 bits takes the big form, two [`BigInt`]s behind one box. The form
+//! is a function of the value alone, so equality, ordering, hashing and
+//! printing are those of the reduced fraction whichever path produced it.
 //!
 //! Both types implement the usual operator traits by value and by reference,
 //! total ordering, hashing, and conversion to `f64` (used when a symbolic

@@ -1,46 +1,113 @@
 //! Exact rational numbers.
+//!
+//! A [`Rational`] has two forms. The *inline* form holds an `i64` numerator
+//! and a `u64` denominator in the value itself and never touches the heap;
+//! the *big* form holds two [`BigInt`]s behind one box and is used only when
+//! the numerator or the denominator of the reduced fraction needs more than
+//! 64 bits. Every constructor and every operation reduces its result and
+//! picks the inline form whenever the value fits it, so a value has exactly
+//! one representation: `Eq` is structural, and `Hash`, `Display` and `Ord`
+//! give the same results as a pair of `BigInt`s in lowest terms would.
+//! Either way a `Rational` is two words (16 bytes).
+//!
+//! Arithmetic on two inline values runs in 128-bit machine integers and
+//! falls back to `BigInt` only when an intermediate overflows 128 bits.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::bigint::{BigInt, Sign};
+use crate::biguint::BigUint;
 
 /// An exact rational number, always stored in lowest terms with a strictly
 /// positive denominator.
 #[derive(Clone, PartialEq, Eq)]
-pub struct Rational {
-    num: BigInt,
-    den: BigInt,
+pub struct Rational(Repr);
+
+/// The two forms of a [`Rational`]; see the module docs.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// `num / den` in lowest terms. The denominator's zero niche tags the
+    /// big form, whose box fits beside it.
+    Small(i64, NonZeroU64),
+    /// `num / den` in lowest terms, `den > 0`, where `num` does not fit an
+    /// `i64` or `den` does not fit a `u64`.
+    Big(Box<(BigInt, BigInt)>),
+}
+
+/// Greatest common divisor of two 128-bit magnitudes (binary GCD).
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `n / d` for non-zero magnitudes of any size: the quotient of their top
+/// 128 bits, scaled by the power of two the shifts removed.
+fn scaled_ratio(n: &BigUint, d: &BigUint) -> f64 {
+    let sn = n.bits().saturating_sub(128);
+    let sd = d.bits().saturating_sub(128);
+    let mut v = n.shr_bits(sn).to_f64() / d.shr_bits(sd).to_f64();
+    let mut exp = sn as i64 - sd as i64;
+    while exp != 0 && v != 0.0 && v.is_finite() {
+        let step = exp.clamp(-1000, 1000);
+        v *= 2f64.powi(step as i32);
+        exp -= step;
+    }
+    v
+}
+
+/// Hashes a machine integer exactly as the equal [`BigInt`] hashes (its
+/// sign, then its little-endian limbs), so the two forms of [`Rational`]
+/// feed a hasher the same bytes a `BigInt` pair would.
+fn hash_as_bigint<H: Hasher>(sign: Sign, magnitude: u64, state: &mut H) {
+    sign.hash(state);
+    let limbs: &[u64] = if magnitude == 0 {
+        &[]
+    } else {
+        std::slice::from_ref(&magnitude)
+    };
+    limbs.hash(state);
 }
 
 impl Rational {
     /// The value `0`.
-    pub fn zero() -> Self {
-        Rational {
-            num: BigInt::zero(),
-            den: BigInt::one(),
-        }
+    pub const fn zero() -> Self {
+        Rational(Repr::Small(0, NonZeroU64::MIN))
     }
 
     /// The value `1`.
-    pub fn one() -> Self {
-        Rational {
-            num: BigInt::one(),
-            den: BigInt::one(),
-        }
+    pub const fn one() -> Self {
+        Rational(Repr::Small(1, NonZeroU64::MIN))
     }
 
     /// Builds `num / den`, reducing to lowest terms. Panics if `den == 0`.
     pub fn new(num: BigInt, den: BigInt) -> Self {
         assert!(!den.is_zero(), "rational with zero denominator");
-        let mut num = num;
-        let mut den = den;
-        if den.is_negative() {
-            num = -num;
-            den = -den;
-        }
+        let (mut num, mut den) = if den.is_negative() {
+            (-num, -den)
+        } else {
+            (num, den)
+        };
         if num.is_zero() {
             return Rational::zero();
         }
@@ -49,20 +116,60 @@ impl Rational {
             num = &num / &g;
             den = &den / &g;
         }
-        Rational { num, den }
+        Rational::from_reduced_big(num, den)
+    }
+
+    /// Wraps a fraction already in lowest terms with `den > 0`, choosing the
+    /// inline form when both parts fit it.
+    fn from_reduced_big(num: BigInt, den: BigInt) -> Self {
+        match (
+            num.to_i64(),
+            den.magnitude().to_u64().and_then(NonZeroU64::new),
+        ) {
+            (Some(n), Some(d)) => Rational(Repr::Small(n, d)),
+            _ => Rational(Repr::Big(Box::new((num, den)))),
+        }
+    }
+
+    /// Builds `num / den` from 128-bit parts (`den > 0`), reducing to
+    /// lowest terms.
+    fn from_i128(num: i128, den: u128) -> Self {
+        debug_assert!(den > 0);
+        let g = gcd_u128(num.unsigned_abs(), den);
+        let mag = num.unsigned_abs() / g;
+        let den = den / g;
+        let num = if num < 0 {
+            // `mag ≤ |num| ≤ 2^127`, and `−2^127` is representable.
+            (mag as i128).wrapping_neg()
+        } else {
+            mag as i128
+        };
+        match (
+            i64::try_from(num),
+            u64::try_from(den).ok().and_then(NonZeroU64::new),
+        ) {
+            (Ok(n), Some(d)) => Rational(Repr::Small(n, d)),
+            _ => Rational(Repr::Big(Box::new((
+                BigInt::from(num),
+                BigInt::from(BigUint::from(den)),
+            )))),
+        }
     }
 
     /// Builds a rational from machine integers.
     pub fn from_ratio(num: i64, den: i64) -> Self {
-        Rational::new(BigInt::from(num), BigInt::from(den))
+        assert!(den != 0, "rational with zero denominator");
+        let (num, den) = (num as i128, den as i128);
+        if den < 0 {
+            Rational::from_i128(-num, den.unsigned_abs())
+        } else {
+            Rational::from_i128(num, den as u128)
+        }
     }
 
     /// Builds a rational equal to an integer.
-    pub fn from_int(v: i64) -> Self {
-        Rational {
-            num: BigInt::from(v),
-            den: BigInt::one(),
-        }
+    pub const fn from_int(v: i64) -> Self {
+        Rational(Repr::Small(v, NonZeroU64::MIN))
     }
 
     /// Builds the closest dyadic rational to an `f64` (exact conversion of
@@ -75,70 +182,133 @@ impl Rational {
             return Some(Rational::zero());
         }
         let bits = v.to_bits();
-        let sign = if bits >> 63 == 1 { -1i64 } else { 1i64 };
+        let negative = bits >> 63 == 1;
         let exponent = ((bits >> 52) & 0x7ff) as i64;
         let mantissa = bits & ((1u64 << 52) - 1);
-        let (mant, exp) = if exponent == 0 {
+        let (mut mant, mut exp) = if exponent == 0 {
             (mantissa, -1074i64)
         } else {
             (mantissa | (1u64 << 52), exponent - 1075)
         };
-        let mant = BigInt::from(mant) * BigInt::from(sign);
-        let two = BigInt::from(2i64);
-        if exp >= 0 {
-            Some(Rational::new(mant * two.pow(exp as u32), BigInt::one()))
+        // Cancel the common powers of two so `mant · 2^exp` is in lowest
+        // terms: an odd mantissa when the exponent is negative.
+        if exp < 0 {
+            let shift = (mant.trailing_zeros() as i64).min(-exp);
+            mant >>= shift;
+            exp += shift;
+        }
+        // `mant < 2^53`, so it always fits an `i64`.
+        let signed = |m: i64| if negative { -m } else { m };
+        if exp < 0 && exp > -64 {
+            let den = NonZeroU64::new(1u64 << -exp).expect("a power of two is non-zero");
+            return Some(Rational(Repr::Small(signed(mant as i64), den)));
+        }
+        if (0..64).contains(&exp) && mant.leading_zeros() as i64 > exp {
+            return Some(Rational::from_int(signed((mant << exp) as i64)));
+        }
+        let mant = if negative {
+            -BigInt::from(mant)
         } else {
-            Some(Rational::new(mant, two.pow((-exp) as u32)))
+            BigInt::from(mant)
+        };
+        let two = BigInt::from(2i64);
+        Some(if exp >= 0 {
+            Rational::from_reduced_big(mant * two.pow(exp as u32), BigInt::one())
+        } else {
+            Rational::from_reduced_big(mant, two.pow((-exp) as u32))
+        })
+    }
+
+    /// `true` when the value is held in the inline (heap-free) form, which
+    /// is exactly when its reduced numerator fits an `i64` and its reduced
+    /// denominator fits a `u64`.
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Small(..))
+    }
+
+    /// Numerator and denominator of the inline form.
+    fn inline(&self) -> Option<(i64, u64)> {
+        match &self.0 {
+            Repr::Small(n, d) => Some((*n, d.get())),
+            Repr::Big(_) => None,
+        }
+    }
+
+    /// Numerator and denominator as `BigInt`s, borrowed from the big form.
+    fn parts(&self) -> (Cow<'_, BigInt>, Cow<'_, BigInt>) {
+        match &self.0 {
+            Repr::Small(n, d) => (
+                Cow::Owned(BigInt::from(*n)),
+                Cow::Owned(BigInt::from(d.get())),
+            ),
+            Repr::Big(b) => (Cow::Borrowed(&b.0), Cow::Borrowed(&b.1)),
         }
     }
 
     /// The numerator (sign-carrying).
-    pub fn numer(&self) -> &BigInt {
-        &self.num
+    pub fn numer(&self) -> BigInt {
+        self.parts().0.into_owned()
     }
 
     /// The denominator (always positive).
-    pub fn denom(&self) -> &BigInt {
-        &self.den
+    pub fn denom(&self) -> BigInt {
+        self.parts().1.into_owned()
     }
 
     /// Returns `true` if this value is zero.
     pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
+        matches!(self.0, Repr::Small(0, _))
     }
 
     /// Returns `true` if this value is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.num.is_negative()
+        self.sign() == Sign::Negative
     }
 
     /// Returns `true` if this value is strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.num.is_positive()
+        self.sign() == Sign::Positive
     }
 
     /// Returns `true` if this value is an integer.
     pub fn is_integer(&self) -> bool {
-        self.den.is_one()
+        match &self.0 {
+            Repr::Small(_, d) => d.get() == 1,
+            Repr::Big(b) => b.1.is_one(),
+        }
     }
 
     /// Sign of the value.
     pub fn sign(&self) -> Sign {
-        self.num.sign()
+        match &self.0 {
+            Repr::Small(n, _) => match n.cmp(&0) {
+                Ordering::Less => Sign::Negative,
+                Ordering::Equal => Sign::Zero,
+                Ordering::Greater => Sign::Positive,
+            },
+            Repr::Big(b) => b.0.sign(),
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> Rational {
-        Rational {
-            num: self.num.abs(),
-            den: self.den.clone(),
+        if self.is_negative() {
+            -self
+        } else {
+            self.clone()
         }
     }
 
     /// Multiplicative inverse. Panics on zero.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rational::new(self.den.clone(), self.num.clone())
+        match &self.0 {
+            Repr::Small(n, d) => {
+                let d = d.get() as i128;
+                Rational::from_i128(if *n < 0 { -d } else { d }, n.unsigned_abs() as u128)
+            }
+            Repr::Big(b) => Rational::new(b.1.clone(), b.0.clone()),
+        }
     }
 
     /// Lossy conversion to `f64`.
@@ -147,25 +317,28 @@ impl Rational {
     /// in double precision, keeping the relative error within a few ulps even
     /// for very large numerators and denominators.
     pub fn to_f64(&self) -> f64 {
-        if self.num.is_zero() {
-            return 0.0;
-        }
-        let nb = self.num.magnitude().bits() as i64;
-        let db = self.den.magnitude().bits() as i64;
+        let (num, den) = match &self.0 {
+            Repr::Small(0, _) => return 0.0,
+            Repr::Small(n, d) => {
+                let v = n.unsigned_abs() as f64 / d.get() as f64;
+                return if *n < 0 { -v } else { v };
+            }
+            Repr::Big(b) => (&b.0, &b.1),
+        };
+        let nb = num.magnitude().bits() as i64;
+        let db = den.magnitude().bits() as i64;
         // Bring both operands below 2^900 to avoid infinities, preserving the ratio.
-        let shift = (nb.max(db) - 900).max(0) as u64;
-        let n = if shift > 0 {
-            self.num.magnitude().shr_bits(shift)
+        let shift = (nb.max(db) - 900).max(0);
+        let mut v = if shift > 0 && nb.min(db) < shift + 128 {
+            // The common shift would leave the smaller operand with too few
+            // bits (or none): the value lies far beyond 2^±900. Divide the
+            // operands' own 128-bit heads instead.
+            scaled_ratio(num.magnitude(), den.magnitude())
         } else {
-            self.num.magnitude().clone()
+            let shift = shift as u64;
+            num.magnitude().shr_bits(shift).to_f64() / den.magnitude().shr_bits(shift).to_f64()
         };
-        let d = if shift > 0 {
-            self.den.magnitude().shr_bits(shift)
-        } else {
-            self.den.magnitude().clone()
-        };
-        let mut v = n.to_f64() / d.to_f64();
-        if self.num.is_negative() {
+        if num.is_negative() {
             v = -v;
         }
         v
@@ -173,21 +346,31 @@ impl Rational {
 
     /// Integer floor of the value.
     pub fn floor(&self) -> BigInt {
-        let (q, r) = self.num.div_rem(&self.den);
-        if r.is_zero() || !self.num.is_negative() {
-            q
-        } else {
-            q - BigInt::one()
+        match &self.0 {
+            Repr::Small(n, d) => BigInt::from((*n as i128).div_euclid(d.get() as i128)),
+            Repr::Big(b) => {
+                let (q, r) = b.0.div_rem(&b.1);
+                if r.is_zero() || !b.0.is_negative() {
+                    q
+                } else {
+                    q - BigInt::one()
+                }
+            }
         }
     }
 
     /// Integer ceiling of the value.
     pub fn ceil(&self) -> BigInt {
-        let (q, r) = self.num.div_rem(&self.den);
-        if r.is_zero() || self.num.is_negative() {
-            q
-        } else {
-            q + BigInt::one()
+        match &self.0 {
+            Repr::Small(n, d) => BigInt::from(-(-(*n as i128)).div_euclid(d.get() as i128)),
+            Repr::Big(b) => {
+                let (q, r) = b.0.div_rem(&b.1);
+                if r.is_zero() || b.0.is_negative() {
+                    q
+                } else {
+                    q + BigInt::one()
+                }
+            }
         }
     }
 
@@ -196,12 +379,23 @@ impl Rational {
         if exp == 0 {
             return Rational::one();
         }
-        if exp > 0 {
-            Rational::new(self.num.pow(exp as u32), self.den.pow(exp as u32))
-        } else {
+        if exp < 0 {
             assert!(!self.is_zero(), "zero to a negative power");
-            Rational::new(self.den.pow((-exp) as u32), self.num.pow((-exp) as u32))
+            return self.recip().pow_positive(exp.unsigned_abs());
         }
+        self.pow_positive(exp as u32)
+    }
+
+    /// `self^exp` for `exp ≥ 1`. Powers of a fraction in lowest terms stay
+    /// in lowest terms, so no reduction is needed.
+    fn pow_positive(&self, exp: u32) -> Rational {
+        if let Repr::Small(n, d) = &self.0 {
+            if let (Some(n), Some(d)) = (n.checked_pow(exp), d.checked_pow(exp)) {
+                return Rational(Repr::Small(n, d));
+            }
+        }
+        let (num, den) = self.parts();
+        Rational::from_reduced_big(num.pow(exp), den.pow(exp))
     }
 
     /// Minimum of two rationals.
@@ -242,10 +436,7 @@ impl Rational {
                     let den = BigInt::from(10i64).pow(frac_part.len() as u32);
                     Some(Rational::new(num, den))
                 } else {
-                    Some(Rational {
-                        num: BigInt::from_decimal(s.trim())?,
-                        den: BigInt::one(),
-                    })
+                    Some(Rational::from(BigInt::from_decimal(s.trim())?))
                 }
             }
         }
@@ -260,8 +451,16 @@ impl Default for Rational {
 
 impl Hash for Rational {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.num.hash(state);
-        self.den.hash(state);
+        match &self.0 {
+            Repr::Small(n, d) => {
+                hash_as_bigint(self.sign(), n.unsigned_abs(), state);
+                hash_as_bigint(Sign::Positive, d.get(), state);
+            }
+            Repr::Big(b) => {
+                b.0.hash(state);
+                b.1.hash(state);
+            }
+        }
     }
 }
 
@@ -279,17 +478,20 @@ impl From<i32> for Rational {
 
 impl From<BigInt> for Rational {
     fn from(v: BigInt) -> Self {
-        Rational {
-            num: v,
-            den: BigInt::one(),
-        }
+        Rational::from_reduced_big(v, BigInt::one())
     }
 }
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b vs c/d  <=>  a*d vs c*b   (b, d > 0)
-        (&self.num * &other.den).cmp(&(&other.num * &self.den))
+        if let (Some((a, b)), Some((c, d))) = (self.inline(), other.inline()) {
+            // |a·d| < 2^127, so neither product overflows.
+            return (a as i128 * d as i128).cmp(&(c as i128 * b as i128));
+        }
+        let (a, b) = self.parts();
+        let (c, d) = other.parts();
+        (&*a * &*d).cmp(&(&*c * &*b))
     }
 }
 
@@ -302,9 +504,13 @@ impl PartialOrd for Rational {
 impl Neg for &Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational {
-            num: -&self.num,
-            den: self.den.clone(),
+        match &self.0 {
+            Repr::Small(n, d) => match n.checked_neg() {
+                Some(m) => Rational(Repr::Small(m, *d)),
+                // −i64::MIN needs 64 magnitude bits plus a sign.
+                None => Rational::from_i128(-(*n as i128), d.get() as u128),
+            },
+            Repr::Big(b) => Rational::from_reduced_big(-&b.0, b.1.clone()),
         }
     }
 }
@@ -312,20 +518,43 @@ impl Neg for &Rational {
 impl Neg for Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational {
-            num: -self.num,
-            den: self.den,
+        match self.0 {
+            Repr::Big(b) => {
+                let (num, den) = *b;
+                Rational::from_reduced_big(-num, den)
+            }
+            small => -&Rational(small),
         }
     }
+}
+
+/// `a/b ± c/d` where `sub` selects the sign of the second term.
+fn add_sub(lhs: &Rational, rhs: &Rational, sub: bool) -> Rational {
+    if let (Some((a, b)), Some((c, d))) = (lhs.inline(), rhs.inline()) {
+        let (a, b, c, d) = (a as i128, b as i128, c as i128, d as i128);
+        // Each cross product is below 2^127 in magnitude; only the sum can
+        // overflow 128 bits.
+        let (ad, cb) = (a * d, c * b);
+        let num = if sub {
+            ad.checked_sub(cb)
+        } else {
+            ad.checked_add(cb)
+        };
+        if let Some(num) = num {
+            return Rational::from_i128(num, b as u128 * d as u128);
+        }
+    }
+    let (a, b) = lhs.parts();
+    let (c, d) = rhs.parts();
+    let (ad, cb) = (&*a * &*d, &*c * &*b);
+    let num = if sub { &ad - &cb } else { &ad + &cb };
+    Rational::new(num, &*b * &*d)
 }
 
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
-        Rational::new(
-            &(&self.num * &rhs.den) + &(&rhs.num * &self.den),
-            &self.den * &rhs.den,
-        )
+        add_sub(self, rhs, false)
     }
 }
 
@@ -345,10 +574,7 @@ impl AddAssign<&Rational> for Rational {
 impl Sub for &Rational {
     type Output = Rational;
     fn sub(self, rhs: &Rational) -> Rational {
-        Rational::new(
-            &(&self.num * &rhs.den) - &(&rhs.num * &self.den),
-            &self.den * &rhs.den,
-        )
+        add_sub(self, rhs, true)
     }
 }
 
@@ -368,7 +594,13 @@ impl SubAssign<&Rational> for Rational {
 impl Mul for &Rational {
     type Output = Rational;
     fn mul(self, rhs: &Rational) -> Rational {
-        Rational::new(&self.num * &rhs.num, &self.den * &rhs.den)
+        if let (Some((a, b)), Some((c, d))) = (self.inline(), rhs.inline()) {
+            // |a·c| ≤ 2^126 and b·d < 2^128: no overflow.
+            return Rational::from_i128(a as i128 * c as i128, b as u128 * d as u128);
+        }
+        let (a, b) = self.parts();
+        let (c, d) = rhs.parts();
+        Rational::new(&*a * &*c, &*b * &*d)
     }
 }
 
@@ -389,7 +621,15 @@ impl Div for &Rational {
     type Output = Rational;
     fn div(self, rhs: &Rational) -> Rational {
         assert!(!rhs.is_zero(), "rational division by zero");
-        Rational::new(&self.num * &rhs.den, &self.den * &rhs.num)
+        if let (Some((a, b)), Some((c, d))) = (self.inline(), rhs.inline()) {
+            // (a/b) / (c/d) = (a·d·sign c) / (b·|c|); |a·d| < 2^127.
+            let num = a as i128 * d as i128;
+            let num = if c < 0 { -num } else { num };
+            return Rational::from_i128(num, b as u128 * c.unsigned_abs() as u128);
+        }
+        let (a, b) = self.parts();
+        let (c, d) = rhs.parts();
+        Rational::new(&*a * &*d, &*b * &*c)
     }
 }
 
@@ -402,10 +642,11 @@ impl Div for Rational {
 
 impl fmt::Display for Rational {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den.is_one() {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
+        match &self.0 {
+            Repr::Small(n, d) if d.get() == 1 => write!(f, "{n}"),
+            Repr::Small(n, d) => write!(f, "{n}/{d}"),
+            Repr::Big(b) if b.1.is_one() => write!(f, "{}", b.0),
+            Repr::Big(b) => write!(f, "{}/{}", b.0, b.1),
         }
     }
 }
@@ -494,7 +735,15 @@ mod tests {
         assert!(Rational::from_f64(f64::NAN).is_none());
         assert!(Rational::from_f64(f64::INFINITY).is_none());
         // Round trip: from_f64 followed by to_f64 is the identity on finite floats.
-        for v in [0.1, -123.456, 1e-30, 1e30, std::f64::consts::PI] {
+        for v in [
+            0.1,
+            -123.456,
+            1e-30,
+            1e30,
+            std::f64::consts::PI,
+            1e300,
+            -4e-320,
+        ] {
             assert_eq!(Rational::from_f64(v).unwrap().to_f64(), v);
         }
     }
@@ -530,5 +779,33 @@ mod tests {
         // |b| < 1 so after 200 iterations the distance is below 1e-14.
         let limit = &c / &(&Rational::one() - &b);
         assert!((a.to_f64() - limit.to_f64()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn binary_gcd_matches_euclid() {
+        let euclid = |mut a: u128, mut b: u128| {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        };
+        let cases = [0u128, 1, 2, 6, 12, 18, 1 << 70, u64::MAX as u128, u128::MAX];
+        for a in cases {
+            for b in cases {
+                assert_eq!(gcd_u128(a, b), euclid(a, b), "gcd({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn the_forms_switch_at_64_bits() {
+        assert!(r(i64::MIN, 1).is_inline());
+        assert!(!(-r(i64::MIN, 1)).is_inline());
+        assert!(Rational::new(BigInt::one(), BigInt::from(u64::MAX)).is_inline());
+        let wide = Rational::new(BigInt::one(), BigInt::from(u64::MAX as i128 + 1));
+        assert!(!wide.is_inline());
+        // Shrinking back demotes to the inline form.
+        assert!((&wide * &Rational::from_int(2)).is_inline());
+        assert_eq!(-(-r(i64::MIN, 3)), r(i64::MIN, 3));
     }
 }

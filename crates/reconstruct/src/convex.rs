@@ -145,6 +145,18 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn a_non_finite_sample_is_a_typed_degenerate_error() {
+        let reconstructor = ConvexReconstructor::new(GeneratorParams::fast(), 0.3, 0.1);
+        let mut samples = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]];
+        assert!(reconstructor.hull_of_samples(&samples, 3).is_ok());
+        samples.push(vec![f64::NAN, 0.5]);
+        assert_eq!(
+            reconstructor.hull_of_samples(&samples, 4),
+            Err(ReconstructionError::DegenerateSamples)
+        );
+    }
+
+    #[test]
     fn sample_size_bound_shapes() {
         // More vertices or a tighter ε need more samples.
         assert!(hull_sample_size(16, 2, 0.1, 0.1) >= hull_sample_size(4, 2, 0.1, 0.1));

@@ -497,16 +497,16 @@ impl ProjectionGenerator {
                 let Some(range) = self.range.clone() else {
                     return;
                 };
-                let mut keys = Vec::new();
-                range.for_each_key(|k| keys.push(k.to_vec()));
-                let cells: Vec<(Vec<i64>, f64)> = keys
-                    .into_iter()
-                    .map(|key| {
-                        let w = self.cell_mass_keyed(&key).min(1.0);
-                        (key, w)
-                    })
-                    .collect();
-                self.strata = StratifiedCells::from_weighted_keys(cells);
+                // `new_with` only resolves to this strategy when the cell
+                // count is within `max_enumerated_cells`.
+                let cells = range.cell_count() as usize;
+                let mut keys = Vec::with_capacity(cells * range.dim());
+                let mut weights = Vec::with_capacity(cells);
+                range.for_each_key(|key| {
+                    keys.extend_from_slice(key);
+                    weights.push(self.cell_mass_keyed(key).min(1.0));
+                });
+                self.strata = StratifiedCells::from_flat_keys(range.dim(), keys, weights);
             }
             CellSelection::CoarseToFine => {
                 if let Some(range) = self.range.clone() {
@@ -550,11 +550,8 @@ impl ProjectionGenerator {
         }
         self.attempts += 1;
         self.accepted += 1;
-        let key = {
-            let strata = self.strata.as_ref().expect("checked above");
-            strata.sample_key(rng).to_vec()
-        };
-        Some(self.jitter_cell(&key, rng))
+        let key = self.strata.as_ref().expect("checked above").sample_key(rng);
+        Some(self.jitter_cell(key, rng))
     }
 
     /// The coarse-to-fine cascade: draw a coarse cell uniformly from the

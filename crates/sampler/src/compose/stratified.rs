@@ -237,12 +237,14 @@ impl CellRange {
 
 /// The fully-enumerated stratified selector: occupied cells in odometer
 /// order, their `min(raw, 1)` selection weights, and the alias table over
-/// them.
+/// them. Keys live in one flat buffer, `dim` entries per cell.
 #[derive(Clone, Debug)]
 pub struct StratifiedCells {
     /// Integer grid keys of the cells with positive selection weight, in
-    /// odometer order.
-    keys: Vec<Vec<i64>>,
+    /// odometer order, concatenated with stride `dim`.
+    keys: Vec<i64>,
+    /// Number of kept axes: the length of one key.
+    dim: usize,
     /// Selection weight `min(raw, 1)` of each key (aligned with `keys`).
     weights: Vec<f64>,
     /// Alias table over `weights`.
@@ -250,29 +252,51 @@ pub struct StratifiedCells {
 }
 
 impl StratifiedCells {
-    /// Builds the selector from `(key, weight)` pairs already in odometer
-    /// order; pairs with non-positive weight are dropped. Returns `None`
-    /// when no cell carries positive weight.
-    pub fn from_weighted_keys(cells: Vec<(Vec<i64>, f64)>) -> Option<Self> {
-        let mut keys = Vec::with_capacity(cells.len());
-        let mut weights = Vec::with_capacity(cells.len());
-        for (key, w) in cells {
-            if w > 0.0 {
-                keys.push(key);
-                weights.push(w);
+    /// Builds the selector from flat keys (stride `dim`, odometer order)
+    /// and one weight per key; cells with non-positive weight are dropped
+    /// in place. Returns `None` when no cell carries positive weight.
+    ///
+    /// Panics unless `keys.len() == dim · weights.len()`.
+    pub(crate) fn from_flat_keys(
+        dim: usize,
+        mut keys: Vec<i64>,
+        mut weights: Vec<f64>,
+    ) -> Option<Self> {
+        assert_eq!(
+            keys.len(),
+            dim * weights.len(),
+            "one key of length dim per weight"
+        );
+        if dim == 0 {
+            return None;
+        }
+        let mut kept = 0;
+        for i in 0..weights.len() {
+            if weights[i] > 0.0 {
+                keys.copy_within(i * dim..(i + 1) * dim, kept * dim);
+                weights[kept] = weights[i];
+                kept += 1;
             }
         }
+        keys.truncate(kept * dim);
+        weights.truncate(kept);
         let table = AliasTable::new(&weights)?;
         Some(StratifiedCells {
             keys,
+            dim,
             weights,
             table,
         })
     }
 
-    /// Occupied cell keys in odometer order.
-    pub fn keys(&self) -> &[Vec<i64>] {
-        &self.keys
+    /// Occupied cell keys in odometer order, one `dim`-long slice each.
+    pub fn keys(&self) -> std::slice::ChunksExact<'_, i64> {
+        self.keys.chunks_exact(self.dim)
+    }
+
+    /// Key of occupied cell `i` (odometer rank among occupied cells).
+    fn key(&self, i: usize) -> &[i64] {
+        &self.keys[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Selection weight `min(raw, 1)` of each occupied cell.
@@ -288,17 +312,17 @@ impl StratifiedCells {
 
     /// Number of occupied cells.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.weights.len()
     }
 
     /// `true` when no cell carries positive weight (never constructed).
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.weights.is_empty()
     }
 
     /// Draws an occupied cell key proportionally to its weight.
     pub fn sample_key<R: Rng + ?Sized>(&self, rng: &mut R) -> &[i64] {
-        &self.keys[self.table.sample(rng)]
+        self.key(self.table.sample(rng))
     }
 }
 
@@ -502,17 +526,14 @@ mod tests {
 
     #[test]
     fn stratified_cells_drop_zero_weight_entries() {
-        let cells = vec![
-            (vec![0], 0.0),
-            (vec![1], 0.5),
-            (vec![2], 1.0),
-            (vec![3], 0.0),
-        ];
-        let s = StratifiedCells::from_weighted_keys(cells).unwrap();
+        let keys = vec![0, 10, 1, 11, 2, 12, 3, 13];
+        let s = StratifiedCells::from_flat_keys(2, keys, vec![0.0, 0.5, 1.0, 0.0]).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.keys(), &[vec![1], vec![2]]);
+        assert_eq!(s.keys().collect::<Vec<_>>(), [[1, 11], [2, 12]]);
+        assert_eq!(s.key(1), [2, 12]);
         assert!((s.total_mass() - 1.5).abs() < 1e-12);
-        assert!(StratifiedCells::from_weighted_keys(vec![(vec![0], 0.0)]).is_none());
+        assert!(StratifiedCells::from_flat_keys(1, vec![0], vec![0.0]).is_none());
+        assert!(StratifiedCells::from_flat_keys(0, vec![], vec![]).is_none());
     }
 
     #[test]

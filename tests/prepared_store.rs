@@ -217,3 +217,124 @@ fn closed_form_suite_keys_never_collide() {
         }
     }
 }
+
+#[test]
+fn canonical_keys_and_digests_are_pinned() {
+    // The renderings and digests below were recorded before `Rational`
+    // gained its inline small form. A key seeds its body's preparation
+    // stream (`mix(hash64 ^ params)`), so equal keys mean every served
+    // sample and volume answer is unchanged bit for bit. The last two
+    // bodies carry fractional and wider-than-64-bit coefficients, so both
+    // forms of `Rational` reach the renderer.
+    let expected: [(&str, usize, u64, &str); 12] = [
+        (
+            "hypercube",
+            1,
+            0x1df21bb170078d70,
+            "d1|&(Al[-1;-1],Al[1;-1])",
+        ),
+        ("simplex", 1, 0x254da5d2f77b1af4, "d1|&(Al[-1;0],Al[1;-1])"),
+        (
+            "cross_polytope",
+            1,
+            0x1df21bb170078d70,
+            "d1|&(Al[-1;-1],Al[1;-1])",
+        ),
+        (
+            "hypercube",
+            2,
+            0xeb0d36cf3474fe56,
+            "d2|&(Al[-1;-1],Al[0,-1;-1],Al[0,1;-1],Al[1;-1])",
+        ),
+        (
+            "simplex",
+            2,
+            0x298b2dbc25d1e3de,
+            "d2|&(Al[-1;0],Al[0,-1;0],Al[1,1;-1])",
+        ),
+        (
+            "cross_polytope",
+            2,
+            0xd2ffb096b4be483e,
+            "d2|&(Al[-1,-1;-1],Al[-1,1;-1],Al[1,-1;-1],Al[1,1;-1])",
+        ),
+        (
+            "hypercube",
+            3,
+            0x139c2400991e0968,
+            "d3|&(Al[-1;-1],Al[0,-1;-1],Al[0,0,-1;-1],Al[0,0,1;-1],Al[0,1;-1],Al[1;-1])",
+        ),
+        (
+            "simplex",
+            3,
+            0x96eec5af947440ba,
+            "d3|&(Al[-1;0],Al[0,-1;0],Al[0,0,-1;0],Al[1,1,1;-1])",
+        ),
+        (
+            "cross_polytope",
+            3,
+            0x9b49faf192b229a5,
+            "d3|&(Al[-1,-1,-1;-1],Al[-1,-1,1;-1],Al[-1,1,-1;-1],Al[-1,1,1;-1],\
+             Al[1,-1,-1;-1],Al[1,-1,1;-1],Al[1,1,-1;-1],Al[1,1,1;-1])",
+        ),
+        (
+            "hypercube",
+            4,
+            0x18c98589284c7f82,
+            "d4|&(Al[-1;-1],Al[0,-1;-1],Al[0,0,-1;-1],Al[0,0,0,-1;-1],Al[0,0,0,1;-1],\
+             Al[0,0,1;-1],Al[0,1;-1],Al[1;-1])",
+        ),
+        (
+            "simplex",
+            4,
+            0xf6bdfda70b1d0008,
+            "d4|&(Al[-1;0],Al[0,-1;0],Al[0,0,-1;0],Al[0,0,0,-1;0],Al[1,1,1,1;-1])",
+        ),
+        (
+            "cross_polytope",
+            4,
+            0x801ea845b410c196,
+            "d4|&(Al[-1,-1,-1,-1;-1],Al[-1,-1,-1,1;-1],Al[-1,-1,1,-1;-1],\
+             Al[-1,-1,1,1;-1],Al[-1,1,-1,-1;-1],Al[-1,1,-1,1;-1],Al[-1,1,1,-1;-1],\
+             Al[-1,1,1,1;-1],Al[1,-1,-1,-1;-1],Al[1,-1,-1,1;-1],Al[1,-1,1,-1;-1],\
+             Al[1,-1,1,1;-1],Al[1,1,-1,-1;-1],Al[1,1,-1,1;-1],Al[1,1,1,-1;-1],\
+             Al[1,1,1,1;-1])",
+        ),
+    ];
+    let mut suite = Vec::new();
+    for dim in 1..=4 {
+        for (name, relation, _volume) in closed_form_suite(dim) {
+            suite.push((name, dim, relation));
+        }
+    }
+    assert_eq!(suite.len(), expected.len());
+    for ((name, dim, relation), (want_name, want_dim, want_hash, want_key)) in
+        suite.iter().zip(expected)
+    {
+        assert_eq!((*name, *dim), (want_name, want_dim));
+        let key = CanonicalKey::of_relation(relation);
+        assert_eq!(key.as_str(), want_key, "{name}/d{dim}");
+        assert_eq!(key.hash64(), want_hash, "{name}/d{dim}");
+    }
+
+    let fractional = [
+        (
+            GeneralizedRelation::from_box_f64(&[0.1, -2.75], &[2.5, 1.0 / 3.0]),
+            0x54a6f70f47bebaae,
+            "d2|&(Al[-36028797018963968;3602879701896397],Al[0,-4;-11],\
+             Al[0,18014398509481984;-6004799503160661],Al[2;-5])",
+        ),
+        (
+            GeneralizedRelation::from_box_f64(&[-1e30, 1e-30], &[3e25, 7.0]),
+            0xad6eafbd46f35ded,
+            "d2|&(Al[-1;-1000000000000000019884624838656],\
+             Al[0,-178405961588244985132285746181186892047843328;178405961588245],\
+             Al[0,1;-7],Al[1;-30000000000000000570425344])",
+        ),
+    ];
+    for (relation, want_hash, want_key) in fractional {
+        let key = CanonicalKey::of_relation(&relation);
+        assert_eq!(key.as_str(), want_key);
+        assert_eq!(key.hash64(), want_hash);
+    }
+}

@@ -496,7 +496,7 @@ fn stratified_per_cell_occupancy_matches_poisson_intervals() {
     let (keys, weights, total) = {
         let cells = generator.stratified_cells().expect("selector built");
         (
-            cells.keys().to_vec(),
+            cells.keys().map(<[i64]>::to_vec).collect::<Vec<_>>(),
             cells.weights().to_vec(),
             cells.total_mass(),
         )
